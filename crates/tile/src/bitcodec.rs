@@ -147,9 +147,9 @@ impl Codec {
                 Ok(raw.to_vec())
             }
             Codec::DeltaVarint => compress_tile(raw),
-            Codec::GammaGap => encode_gaps(raw, GapCode::Gamma),
-            Codec::ZetaGap => encode_gaps(raw, GapCode::Zeta),
-            Codec::EliasFano => encode_elias_fano(raw),
+            Codec::GammaGap => encode_gaps::<BitWriter>(raw, GapCode::Gamma),
+            Codec::ZetaGap => encode_gaps::<BitWriter>(raw, GapCode::Zeta),
+            Codec::EliasFano => encode_elias_fano::<BitWriter>(raw),
         }
     }
 
@@ -301,12 +301,20 @@ const DECODE_BLOCK: usize = 128;
 // Bit stream primitives (MSB-first within each byte).
 // ---------------------------------------------------------------------------
 
+/// Bits one [`BitReader::peek64`] is guaranteed to cover: a peek starts at
+/// a byte boundary and shifts out at most 7 bits of its first byte.
+const PEEK_BITS: u32 = 57;
+
 /// Appends bits MSB-first to a byte vector; the final partial byte is
-/// zero-padded by [`BitWriter::finish`].
+/// zero-padded by [`BitWriter::finish`]. Bits gather in a `u64`
+/// accumulator and leave it as whole bytes.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     out: Vec<u8>,
-    cur: u8,
+    /// Pending bits, right-aligned: the low `used` bits are the stream's
+    /// next bits (higher bits are stale and never flushed).
+    acc: u64,
+    /// Pending bit count; below 8 between calls.
     used: u32,
 }
 
@@ -319,38 +327,45 @@ impl BitWriter {
     pub fn with_prefix(out: Vec<u8>) -> Self {
         BitWriter {
             out,
-            cur: 0,
+            acc: 0,
             used: 0,
         }
     }
 
     #[inline]
     pub fn write_bit(&mut self, bit: u64) {
-        self.cur = (self.cur << 1) | (bit as u8 & 1);
-        self.used += 1;
-        if self.used == 8 {
-            self.out.push(self.cur);
-            self.cur = 0;
-            self.used = 0;
-        }
+        self.write_bits(bit, 1);
     }
 
     /// Writes the low `n` bits of `v`, MSB first. `n <= 64`.
     #[inline]
     pub fn write_bits(&mut self, v: u64, n: u32) {
         debug_assert!(n <= 64);
-        for i in (0..n).rev() {
-            self.write_bit((v >> i) & 1);
+        if n > 56 {
+            // Keep `used + n` within the accumulator.
+            self.write_bits(v >> 32, n - 32);
+            self.write_bits(v, 32);
+            return;
+        }
+        if n == 0 {
+            return;
+        }
+        self.acc = (self.acc << n) | (v & (u64::MAX >> (64 - n)));
+        self.used += n;
+        while self.used >= 8 {
+            self.used -= 8;
+            self.out.push((self.acc >> self.used) as u8);
         }
     }
 
     /// Writes `zeros` zero bits followed by a one (unary code).
     #[inline]
-    pub fn write_unary(&mut self, zeros: u64) {
-        for _ in 0..zeros {
-            self.write_bit(0);
+    pub fn write_unary(&mut self, mut zeros: u64) {
+        while zeros >= 56 {
+            self.write_bits(0, 56);
+            zeros -= 56;
         }
-        self.write_bit(1);
+        self.write_bits(1, zeros as u32 + 1);
     }
 
     /// Bits written so far.
@@ -361,15 +376,42 @@ impl BitWriter {
     /// Flushes the final partial byte (zero-padded) and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
         if self.used > 0 {
-            self.out.push(self.cur << (8 - self.used));
+            self.out.push((self.acc << (8 - self.used)) as u8);
         }
         self.out
     }
 }
 
-/// Reads bits MSB-first. Reads past the end yield zeros — corrupt streams
-/// produce wrong keys, never unbounded work, because every decode loop is
-/// bounded by the count header.
+/// The bit stream the encoders write through: [`BitWriter`], and in
+/// tests also the bit-at-a-time reference writer it must match byte for
+/// byte.
+trait BitSink {
+    fn with_prefix(out: Vec<u8>) -> Self;
+    fn write_bits(&mut self, v: u64, n: u32);
+    fn write_unary(&mut self, zeros: u64);
+    fn finish(self) -> Vec<u8>;
+}
+
+impl BitSink for BitWriter {
+    fn with_prefix(out: Vec<u8>) -> Self {
+        BitWriter::with_prefix(out)
+    }
+    #[inline]
+    fn write_bits(&mut self, v: u64, n: u32) {
+        BitWriter::write_bits(self, v, n)
+    }
+    #[inline]
+    fn write_unary(&mut self, zeros: u64) {
+        BitWriter::write_unary(self, zeros)
+    }
+    fn finish(self) -> Vec<u8> {
+        BitWriter::finish(self)
+    }
+}
+
+/// Reads bits MSB-first, a machine word at a time. Reads past the end
+/// yield zeros — corrupt streams produce wrong keys, never unbounded work,
+/// because every decode loop is bounded by the count header.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
@@ -398,30 +440,46 @@ impl<'a> BitReader<'a> {
     }
 
     #[inline]
-    fn eof(&self) -> bool {
-        self.pos >= self.bytes.len() as u64 * 8
+    fn end(&self) -> u64 {
+        self.bytes.len() as u64 * 8
+    }
+
+    /// The next 64 bits, MSB-aligned, without consuming them. Only the top
+    /// `64 - pos % 8` (at least 57) are stream bits; the rest, and every
+    /// bit past the end of the stream, read as zero.
+    #[inline]
+    pub fn peek64(&self) -> u64 {
+        let byte = (self.pos / 8) as usize;
+        let word = match self.bytes.get(byte..byte.saturating_add(8)) {
+            Some(b) => u64::from_be_bytes(b.try_into().expect("slice of 8 bytes")),
+            None => {
+                let mut buf = [0u8; 8];
+                let tail = self.bytes.get(byte..).unwrap_or(&[]);
+                buf[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(buf)
+            }
+        };
+        word << (self.pos % 8)
     }
 
     #[inline]
     pub fn read_bit(&mut self) -> u64 {
-        let byte = (self.pos / 8) as usize;
-        if byte >= self.bytes.len() {
-            self.pos += 1;
-            return 0;
-        }
-        let bit = (self.bytes[byte] >> (7 - (self.pos % 8) as u32)) & 1;
-        self.pos += 1;
-        bit as u64
+        self.read_bits(1)
     }
 
     /// Reads `n` bits MSB-first into the low bits of the result.
     #[inline]
     pub fn read_bits(&mut self, n: u32) -> u64 {
         debug_assert!(n <= 64);
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.read_bit();
+        if n > PEEK_BITS {
+            let hi = self.read_bits(n - 32);
+            return (hi << 32) | self.read_bits(32);
         }
+        if n == 0 {
+            return 0;
+        }
+        let v = self.peek64() >> (64 - n);
+        self.pos += n as u64;
         v
     }
 
@@ -429,40 +487,61 @@ impl<'a> BitReader<'a> {
     /// Stream exhaustion terminates the count.
     #[inline]
     pub fn read_unary(&mut self) -> u64 {
+        let w = self.peek64();
+        if w != 0 {
+            // Padding bits are zero, so this one bit is a stream bit.
+            let zeros = w.leading_zeros() as u64;
+            self.pos += zeros + 1;
+            return zeros;
+        }
+        self.read_unary_long()
+    }
+
+    /// Cold path of [`BitReader::read_unary`]: a run of zeros longer than
+    /// one peek, which only long Elias-Fano gaps and corrupt streams make.
+    #[cold]
+    fn read_unary_long(&mut self) -> u64 {
         let mut zeros = 0u64;
-        while !self.eof() {
-            if self.read_bit() == 1 {
-                break;
+        while self.pos < self.end() {
+            let w = self.peek64();
+            if w != 0 {
+                let z = w.leading_zeros() as u64;
+                self.pos += z + 1;
+                return zeros + z;
             }
-            zeros += 1;
+            let step = (64 - self.pos % 8).min(self.end() - self.pos);
+            zeros += step;
+            self.pos += step;
         }
         zeros
     }
 
     /// Skips forward until `zeros` zero bits have been consumed, counting
-    /// the one bits passed over. Whole bytes are skipped via popcount, so
-    /// the scan is ~8× a bit loop — the Elias-Fano upper-bits select.
-    /// Returns the number of ones passed. Stops early at end of stream.
+    /// the one bits passed over: the Elias-Fano upper-bits select. Whole
+    /// peeked words are skipped by popcount; the word holding the final
+    /// zero is resolved by a select over its zero bits. Stops early at end
+    /// of stream.
     pub fn skip_zeros(&mut self, mut zeros: u64, ones: &mut u64) {
-        while zeros > 0 && !self.eof() {
-            if self.pos.is_multiple_of(8) {
-                let b = self.bytes[(self.pos / 8) as usize];
-                let z = 8 - b.count_ones() as u64;
-                // Whole-byte fast path, only while the byte cannot contain
-                // the final zero (ones after it must not be counted).
-                if z < zeros {
-                    zeros -= z;
-                    *ones += b.count_ones() as u64;
-                    self.pos += 8;
-                    continue;
-                }
+        while zeros > 0 && self.pos < self.end() {
+            let avail = (64 - self.pos % 8).min(self.end() - self.pos);
+            let w = self.peek64();
+            let set = w.count_ones() as u64;
+            if avail - set < zeros {
+                zeros -= avail - set;
+                *ones += set;
+                self.pos += avail;
+                continue;
             }
-            // Bit-granular tail.
-            if self.read_bit() == 1 {
-                *ones += 1;
-            } else {
-                zeros -= 1;
+            // The final zero lies in this word: clear the zeros before it
+            // (bit-reversed, lowest first) and locate it.
+            let mut inv = (!w & (u64::MAX << (64 - avail))).reverse_bits();
+            for _ in 1..zeros {
+                inv &= inv - 1;
             }
+            let at = inv.trailing_zeros() as u64;
+            *ones += at + 1 - zeros;
+            self.pos += at + 1;
+            return;
         }
     }
 }
@@ -472,15 +551,35 @@ impl<'a> BitReader<'a> {
 // ---------------------------------------------------------------------------
 
 #[inline]
-fn write_gamma(w: &mut BitWriter, v: u64) {
+fn write_gamma(w: &mut impl BitSink, v: u64) {
     let x = v + 1;
     let n = 64 - x.leading_zeros(); // bit length of x, >= 1
     w.write_bits(0, n - 1);
     w.write_bits(x, n);
 }
 
+/// Longest γ unary prefix decoded from one peek: the whole code,
+/// `2 * zeros + 1` bits, then fits in [`PEEK_BITS`].
+const GAMMA_PEEK_ZEROS: u32 = 27;
+
 #[inline]
 fn read_gamma(r: &mut BitReader) -> u64 {
+    let w = r.peek64();
+    let zeros = w.leading_zeros();
+    if zeros > GAMMA_PEEK_ZEROS {
+        return read_gamma_long(r);
+    }
+    // Unary prefix and payload together: the top `2 * zeros + 1` bits are
+    // `zeros` zeros and then x with its leading one.
+    r.pos += 2 * zeros as u64 + 1;
+    (w >> (63 - 2 * zeros)) - 1
+}
+
+/// Generic γ decode through the reader, the cold path for codes longer
+/// than one peek. Source deltas and destination gaps stay below 2^17, so
+/// only runs of 2^28 or more keys and corrupt streams reach it.
+#[cold]
+fn read_gamma_long(r: &mut BitReader) -> u64 {
     let zeros = r.read_unary() as u32;
     // The unary count gave the bit length; the leading one bit was
     // consumed, so read the remaining `zeros` payload bits.
@@ -504,7 +603,7 @@ fn zeta_interval(h: u32, k: u32) -> (u64, u64) {
 }
 
 #[inline]
-fn write_zeta(w: &mut BitWriter, v: u64, k: u32) {
+fn write_zeta(w: &mut impl BitSink, v: u64, k: u32) {
     let x = v + 1;
     let bits = 64 - x.leading_zeros(); // >= 1
     let h = (bits - 1) / k;
@@ -525,7 +624,9 @@ fn write_zeta(w: &mut BitWriter, v: u64, k: u32) {
     }
 }
 
-#[inline]
+/// Generic ζ_k decode, code by code through the reader; for k = 3 it is
+/// the cold path of [`read_zeta3`].
+#[cold]
 fn read_zeta(r: &mut BitReader, k: u32) -> u64 {
     let h = (r.read_unary() as u32).min(63 / k);
     let (lo, z) = zeta_interval(h, k);
@@ -539,6 +640,33 @@ fn read_zeta(r: &mut BitReader, k: u32) -> u64 {
         v = (v << 1) | r.read_bit();
         v -= thresh;
     }
+    lo + v - 1
+}
+
+/// Longest ζ_3 unary prefix decoded from one peek: the whole code, at
+/// most `4h + 4` bits, then fits in [`PEEK_BITS`].
+const ZETA3_PEEK_H: u32 = 12;
+
+/// ζ_3 decode from a single peek. For k = 3 the interval width is
+/// `z = 7 * 2^(3h)`, so the minimal binary code has `s = 3h + 3` bits and
+/// threshold `2^s - z = 2^(3h)`: short codewords take `3h + 2` bits.
+#[inline]
+fn read_zeta3(r: &mut BitReader) -> u64 {
+    const { assert!(ZETA_K == 3, "the stored ζ code is ζ_3") };
+    let w = r.peek64();
+    let h = w.leading_zeros();
+    if h > ZETA3_PEEK_H {
+        return read_zeta(r, ZETA_K);
+    }
+    let payload = w << (h + 1);
+    let lo = 1u64 << (3 * h);
+    let short = payload >> (64 - (3 * h + 2));
+    let (v, len) = if short < lo {
+        (short, 4 * h + 3)
+    } else {
+        ((payload >> (64 - (3 * h + 3))) - lo, 4 * h + 4)
+    };
+    r.pos += len as u64;
     lo + v - 1
 }
 
@@ -573,18 +701,10 @@ enum GapCode {
 
 impl GapCode {
     #[inline]
-    fn write(self, w: &mut BitWriter, v: u64) {
+    fn write(self, w: &mut impl BitSink, v: u64) {
         match self {
             GapCode::Gamma => write_gamma(w, v),
             GapCode::Zeta => write_zeta(w, v, ZETA_K),
-        }
-    }
-
-    #[inline]
-    fn read(self, r: &mut BitReader) -> u64 {
-        match self {
-            GapCode::Gamma => read_gamma(r),
-            GapCode::Zeta => read_zeta(r, ZETA_K),
         }
     }
 }
@@ -594,11 +714,11 @@ impl GapCode {
 /// are always γ (source deltas and run lengths are small); destination
 /// gaps use the codec's own code. The first run's `src_delta` is the
 /// absolute source local.
-fn encode_gaps(raw: &[u8], code: GapCode) -> Result<Vec<u8>> {
+fn encode_gaps<W: BitSink>(raw: &[u8], code: GapCode) -> Result<Vec<u8>> {
     let keys = sorted_keys(raw)?;
     let mut header = Vec::with_capacity(raw.len() / 4 + 8);
     write_varint(&mut header, keys.len() as u64);
-    let mut w = BitWriter::with_prefix(header);
+    let mut w = W::with_prefix(header);
     let mut i = 0usize;
     // prev_src + 1 + delta == src; u64::MAX makes the first delta absolute.
     let mut prev_src = u64::MAX;
@@ -629,7 +749,7 @@ fn ef_dst_bits(keys: &[u32]) -> u32 {
     (32 - max_dst.leading_zeros()).max(1)
 }
 
-fn encode_elias_fano(raw: &[u8]) -> Result<Vec<u8>> {
+fn encode_elias_fano<W: BitSink>(raw: &[u8]) -> Result<Vec<u8>> {
     let keys = sorted_keys(raw)?;
     let n = keys.len() as u64;
     let mut out = Vec::with_capacity(raw.len() / 4 + 16);
@@ -649,7 +769,7 @@ fn encode_elias_fano(raw: &[u8]) -> Result<Vec<u8>> {
     write_varint(&mut out, last);
     out.push(b as u8);
     let l = ef_lower_bits(last + 1, n);
-    let mut w = BitWriter::with_prefix(out);
+    let mut w = W::with_prefix(out);
     // Lower halves, packed contiguously: element i's bits live at
     // [i*l, (i+1)*l) past the payload start, giving random access.
     if l > 0 {
@@ -703,11 +823,11 @@ pub enum TileCursor<'a> {
     Ef(EfCursor<'a>),
 }
 
-/// Decoder state for the γ/ζ row-run layout.
+/// Decoder state for the γ/ζ row-run layout. The variant of
+/// [`TileCursor`] holding it names the gap code.
 #[derive(Debug, Clone)]
 pub struct RunCursor<'a> {
     r: BitReader<'a>,
-    code: GapCode,
     /// Keys not yet yielded across all runs.
     remaining: u64,
     /// Keys left in the current run (0 → the next key starts a new run).
@@ -718,26 +838,51 @@ pub struct RunCursor<'a> {
     dst: u64,
 }
 
-impl RunCursor<'_> {
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        if self.remaining == 0 {
-            return None;
+impl<'a> RunCursor<'a> {
+    fn new(bytes: &'a [u8], pos: usize, n: u64) -> Self {
+        RunCursor {
+            r: BitReader::at(bytes, pos as u64 * 8),
+            remaining: n,
+            run_remaining: 0,
+            src: u64::MAX,
+            dst: 0,
         }
-        self.remaining -= 1;
-        if self.run_remaining == 0 {
-            self.src = self
-                .src
-                .wrapping_add(read_gamma(&mut self.r))
-                .wrapping_add(1)
-                .min(0xFFFF);
-            self.run_remaining = read_gamma(&mut self.r).saturating_add(1);
-            self.dst = self.code.read(&mut self.r).min(0xFFFF);
-        } else {
-            self.dst = (self.dst + self.code.read(&mut self.r)).min(0xFFFF);
+    }
+
+    /// Decodes up to `out.len()` keys, reading destination gaps with
+    /// `read_gap`. A run header is decoded once per run; the keys of a run
+    /// then decode in a loop that only reads gaps.
+    #[inline(always)]
+    fn fill(&mut self, out: &mut [u32], read_gap: impl Fn(&mut BitReader) -> u64) -> usize {
+        let n = self.remaining.min(out.len() as u64) as usize;
+        let mut i = 0;
+        while i < n {
+            if self.run_remaining == 0 {
+                self.src = self
+                    .src
+                    .wrapping_add(read_gamma(&mut self.r))
+                    .wrapping_add(1)
+                    .min(0xFFFF);
+                // γ(len - 1): the keys of the run after this first one.
+                self.run_remaining = read_gamma(&mut self.r);
+                self.dst = read_gap(&mut self.r).min(0xFFFF);
+                out[i] = ((self.src as u32) << 16) | self.dst as u32;
+                i += 1;
+                continue;
+            }
+            let m = self.run_remaining.min((n - i) as u64) as usize;
+            let src = (self.src as u32) << 16;
+            let mut dst = self.dst;
+            for slot in &mut out[i..i + m] {
+                dst = dst.saturating_add(read_gap(&mut self.r)).min(0xFFFF);
+                *slot = src | dst as u32;
+            }
+            self.dst = dst;
+            self.run_remaining -= m as u64;
+            i += m;
         }
-        self.run_remaining -= 1;
-        Some(((self.src as u32) << 16) | self.dst as u32)
+        self.remaining -= n as u64;
+        n
     }
 }
 
@@ -778,22 +923,8 @@ impl<'a> TileCursor<'a> {
                 remaining: n,
                 key: 0,
             },
-            Codec::GammaGap => TileCursor::Gamma(RunCursor {
-                r: BitReader::at(bytes, pos as u64 * 8),
-                code: GapCode::Gamma,
-                remaining: n,
-                run_remaining: 0,
-                src: u64::MAX,
-                dst: 0,
-            }),
-            Codec::ZetaGap => TileCursor::Zeta(RunCursor {
-                r: BitReader::at(bytes, pos as u64 * 8),
-                code: GapCode::Zeta,
-                remaining: n,
-                run_remaining: 0,
-                src: u64::MAX,
-                dst: 0,
-            }),
+            Codec::GammaGap => TileCursor::Gamma(RunCursor::new(bytes, pos, n)),
+            Codec::ZetaGap => TileCursor::Zeta(RunCursor::new(bytes, pos, n)),
             Codec::EliasFano => TileCursor::Ef(EfCursor::new(bytes, pos, n)?),
         })
     }
@@ -809,18 +940,28 @@ impl<'a> TileCursor<'a> {
         }
     }
 
-    /// Next key, or `None` when exhausted.
+    /// Next key, or `None` when exhausted: a one-key block.
     #[inline]
     pub fn next_key(&mut self) -> Option<u32> {
+        let mut key = [0u32; 1];
+        (self.next_block(&mut key) == 1).then_some(key[0])
+    }
+
+    /// Decodes up to `out.len()` keys into `out`; returns how many were
+    /// written. Zero means the cursor is exhausted. The codec is matched
+    /// once per block, and each codec fills the block in its own loop.
+    #[inline]
+    pub fn next_block(&mut self, out: &mut [u32]) -> usize {
         match self {
             TileCursor::Raw { bytes, pos } => {
-                if *pos + SNB_EDGE_BYTES > bytes.len() {
-                    return None;
+                let rest = &bytes[*pos..];
+                let n = (rest.len() / SNB_EDGE_BYTES).min(out.len());
+                for (slot, c) in out[..n].iter_mut().zip(rest.chunks_exact(SNB_EDGE_BYTES)) {
+                    let e = SnbEdge::from_bytes([c[0], c[1], c[2], c[3]]);
+                    *slot = (e.src as u32) << 16 | e.dst as u32;
                 }
-                let c = &bytes[*pos..*pos + SNB_EDGE_BYTES];
-                *pos += SNB_EDGE_BYTES;
-                let e = SnbEdge::from_bytes([c[0], c[1], c[2], c[3]]);
-                Some((e.src as u32) << 16 | e.dst as u32)
+                *pos += n * SNB_EDGE_BYTES;
+                n
             }
             TileCursor::Varint {
                 bytes,
@@ -828,34 +969,19 @@ impl<'a> TileCursor<'a> {
                 remaining,
                 key,
             } => {
-                if *remaining == 0 {
-                    return None;
+                let n = (*remaining).min(out.len() as u64) as usize;
+                for slot in &mut out[..n] {
+                    let delta = read_varint(bytes, pos).unwrap_or(0);
+                    *key = key.saturating_add(delta).min(u32::MAX as u64);
+                    *slot = *key as u32;
                 }
-                *remaining -= 1;
-                let delta = read_varint(bytes, pos).unwrap_or(0);
-                *key = (*key + delta).min(u32::MAX as u64);
-                Some(*key as u32)
+                *remaining -= n as u64;
+                n
             }
-            TileCursor::Gamma(rc) | TileCursor::Zeta(rc) => rc.next(),
-            TileCursor::Ef(ef) => ef.next(),
+            TileCursor::Gamma(rc) => rc.fill(out, read_gamma),
+            TileCursor::Zeta(rc) => rc.fill(out, read_zeta3),
+            TileCursor::Ef(ef) => ef.fill(out),
         }
-    }
-
-    /// Decodes up to `out.len()` keys into `out`; returns how many were
-    /// written. Zero means the cursor is exhausted.
-    #[inline]
-    pub fn next_block(&mut self, out: &mut [u32]) -> usize {
-        let mut n = 0;
-        while n < out.len() {
-            match self.next_key() {
-                Some(k) => {
-                    out[n] = k;
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
     }
 
     /// Best-effort forward skip: positions the cursor so subsequent keys
@@ -937,30 +1063,32 @@ impl<'a> EfCursor<'a> {
         (src << 16) | dst
     }
 
+    /// Decodes up to `out.len()` keys: one unary upper-bits gap and one
+    /// `l`-bit lower half per key.
     #[inline]
-    fn next(&mut self) -> Option<u32> {
-        if self.idx >= self.n {
-            return None;
-        }
-        // Consume upper-bit zeros (high-value gaps) until this element's
-        // one bit. Bounded: the encoder wrote exactly n ones.
-        let mut guard = 0u64;
-        while self.upper.read_bit() == 0 {
-            self.high += 1;
-            guard += 1;
-            if guard > 1 << 33 {
-                // Corrupt stream: bail as exhausted.
+    fn fill(&mut self, out: &mut [u32]) -> usize {
+        let n = (self.n - self.idx).min(out.len() as u64) as usize;
+        for (i, slot) in out[..n].iter_mut().enumerate() {
+            // This element's high-value gap: the zeros before its one bit.
+            // The encoder wrote exactly n ones, so a missing one bit (end
+            // of stream) or an absurd gap means a corrupt stream: bail as
+            // exhausted.
+            let start = self.upper.bit_pos();
+            let gap = self.upper.read_unary();
+            if gap > 1 << 33 || self.upper.bit_pos() != start + gap + 1 {
                 self.idx = self.n;
-                return None;
+                return i;
             }
+            self.high += gap;
+            let low = self.lower.read_bits(self.l);
+            *slot = self.unpack((self.high << self.l) | low);
         }
-        let low = self.lower.read_bits(self.l);
-        self.idx += 1;
-        Some(self.unpack((self.high << self.l) | low))
+        self.idx += n as u64;
+        n
     }
 
     /// Skips to the first element whose high half is `>= packed(target) >>
-    /// l`, using byte-popcount scanning over the upper bit vector, then
+    /// l`, using word-popcount scanning over the upper bit vector, then
     /// repositions the lower-bits reader by random access. The packed
     /// target rounds destinations beyond the tile's dst width down, so the
     /// skip under-approximates and never passes a key `>= target`.
@@ -989,6 +1117,149 @@ impl<'a> EfCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bit-at-a-time writer [`BitWriter`] replaced, kept as the
+    /// reference its streams must match byte for byte.
+    #[derive(Default)]
+    struct RefBitWriter {
+        out: Vec<u8>,
+        cur: u8,
+        used: u32,
+    }
+
+    impl RefBitWriter {
+        fn write_bit(&mut self, bit: u64) {
+            self.cur = (self.cur << 1) | (bit as u8 & 1);
+            self.used += 1;
+            if self.used == 8 {
+                self.out.push(self.cur);
+                self.cur = 0;
+                self.used = 0;
+            }
+        }
+
+        fn bit_len(&self) -> u64 {
+            self.out.len() as u64 * 8 + self.used as u64
+        }
+    }
+
+    impl BitSink for RefBitWriter {
+        fn with_prefix(out: Vec<u8>) -> Self {
+            RefBitWriter {
+                out,
+                ..Default::default()
+            }
+        }
+        fn write_bits(&mut self, v: u64, n: u32) {
+            for i in (0..n).rev() {
+                self.write_bit((v >> i) & 1);
+            }
+        }
+        fn write_unary(&mut self, zeros: u64) {
+            for _ in 0..zeros {
+                self.write_bit(0);
+            }
+            self.write_bit(1);
+        }
+        fn finish(mut self) -> Vec<u8> {
+            if self.used > 0 {
+                self.out.push(self.cur << (8 - self.used));
+            }
+            self.out
+        }
+    }
+
+    /// The bit-at-a-time reader [`BitReader`] replaced, with the generic
+    /// γ/ζ decoders over it: the reference for every word-level read.
+    struct RefBitReader<'a> {
+        bytes: &'a [u8],
+        pos: u64,
+    }
+
+    impl RefBitReader<'_> {
+        fn eof(&self) -> bool {
+            self.pos >= self.bytes.len() as u64 * 8
+        }
+
+        fn read_bit(&mut self) -> u64 {
+            let byte = (self.pos / 8) as usize;
+            if byte >= self.bytes.len() {
+                self.pos += 1;
+                return 0;
+            }
+            let bit = (self.bytes[byte] >> (7 - (self.pos % 8) as u32)) & 1;
+            self.pos += 1;
+            bit as u64
+        }
+
+        fn read_bits(&mut self, n: u32) -> u64 {
+            let mut v = 0u64;
+            for _ in 0..n {
+                v = (v << 1) | self.read_bit();
+            }
+            v
+        }
+
+        fn read_unary(&mut self) -> u64 {
+            let mut zeros = 0u64;
+            while !self.eof() {
+                if self.read_bit() == 1 {
+                    break;
+                }
+                zeros += 1;
+            }
+            zeros
+        }
+
+        fn skip_zeros(&mut self, mut zeros: u64, ones: &mut u64) {
+            while zeros > 0 && !self.eof() {
+                if self.read_bit() == 1 {
+                    *ones += 1;
+                } else {
+                    zeros -= 1;
+                }
+            }
+        }
+
+        fn read_gamma(&mut self) -> u64 {
+            let zeros = self.read_unary() as u32;
+            let x = (1u64 << zeros.min(63)) | self.read_bits(zeros.min(63));
+            x - 1
+        }
+
+        fn read_zeta(&mut self, k: u32) -> u64 {
+            let h = (self.read_unary() as u32).min(63 / k);
+            let (lo, z) = zeta_interval(h, k);
+            if z <= 1 {
+                return lo - 1;
+            }
+            let s = 64 - (z - 1).leading_zeros();
+            let thresh = (1u64 << s) - z;
+            let mut v = self.read_bits(s - 1);
+            if v >= thresh {
+                v = (v << 1) | self.read_bit();
+                v -= thresh;
+            }
+            lo + v - 1
+        }
+    }
+
+    /// γ, ζ and Elias-Fano streams of `raw` written through `W`.
+    fn encodings<W: BitSink>(raw: &[u8]) -> [Vec<u8>; 3] {
+        [
+            encode_gaps::<W>(raw, GapCode::Gamma).unwrap(),
+            encode_gaps::<W>(raw, GapCode::Zeta).unwrap(),
+            encode_elias_fano::<W>(raw).unwrap(),
+        ]
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
 
     fn raw_tile(edges: &[(u16, u16)]) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -1290,6 +1561,24 @@ mod tests {
     }
 
     #[test]
+    fn elias_fano_stops_where_its_upper_bits_end() {
+        // The lower halves precede the upper bits, so a cut inside the
+        // upper bits leaves a correct prefix; the first element whose one
+        // bit is missing ends the cursor instead of yielding garbage.
+        let raw = raw_tile(&(0..300u16).map(|i| (i / 3, i * 5)).collect::<Vec<_>>());
+        let keys = keys_of(&raw);
+        let enc = Codec::EliasFano.encode_tile(&raw).unwrap();
+        let mut cur = Codec::EliasFano.cursor(&enc[..enc.len() - 8]).unwrap();
+        let mut got = Vec::new();
+        while let Some(k) = cur.next_key() {
+            got.push(k);
+        }
+        assert!(got.len() < keys.len());
+        assert_eq!(got, keys[..got.len()]);
+        assert_eq!(cur.remaining(), 0);
+    }
+
+    #[test]
     fn tag_roundtrip_and_names() {
         for codec in Codec::ALL {
             assert_eq!(Codec::from_tag(codec.tag()).unwrap(), codec);
@@ -1324,5 +1613,156 @@ mod tests {
             assert_eq!(cur.next_key(), None);
             assert_eq!(codec.edge_count(&[]).unwrap(), 0);
         }
+    }
+
+    #[test]
+    fn word_writer_matches_reference_on_random_ops() {
+        let mut x = 0x2545F4914F6CDD1Du64;
+        for _ in 0..200 {
+            let mut w = BitWriter::new();
+            let mut r = RefBitWriter::default();
+            for _ in 0..(xorshift(&mut x) % 64) {
+                let v = xorshift(&mut x);
+                if v & 1 == 0 {
+                    let n = (v >> 8) as u32 % 65;
+                    w.write_bits(v >> 1, n);
+                    BitSink::write_bits(&mut r, v >> 1, n);
+                } else {
+                    // Mostly short runs, sometimes several words of zeros.
+                    let zeros = (v >> 8) % if v & 2 == 0 { 9 } else { 300 };
+                    w.write_unary(zeros);
+                    BitSink::write_unary(&mut r, zeros);
+                }
+                assert_eq!(w.bit_len(), r.bit_len());
+            }
+            assert_eq!(w.finish(), r.finish());
+        }
+    }
+
+    #[test]
+    fn word_writer_streams_match_reference_on_sample_tiles() {
+        for raw in sample_tiles() {
+            assert_eq!(
+                encodings::<BitWriter>(&raw),
+                encodings::<RefBitWriter>(&raw)
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn codec_streams_match_reference_writer(
+            edges in proptest::collection::vec((any::<u16>(), any::<u16>()), 0..300),
+            runs in proptest::collection::vec((0u16..64, 1u16..200, 0u16..8), 0..12),
+        ) {
+            // Random keys, then long same-source runs with small gaps.
+            let mut raw = raw_tile(&edges);
+            prop_assert_eq!(encodings::<BitWriter>(&raw), encodings::<RefBitWriter>(&raw));
+            raw.clear();
+            for (src, len, gap) in runs {
+                for i in 0..len {
+                    raw.extend_from_slice(&SnbEdge::new(src, i * gap).to_bytes());
+                }
+            }
+            prop_assert_eq!(encodings::<BitWriter>(&raw), encodings::<RefBitWriter>(&raw));
+        }
+    }
+
+    /// Random byte strings in three densities; the sparse ones hold the
+    /// long zero runs that drive every read onto its cold path.
+    fn differential_strings() -> Vec<Vec<u8>> {
+        let mut x = 0x853C49E6748FEA9Bu64;
+        let mut out = vec![Vec::new(), vec![0xFF], vec![0; 9], vec![0x80; 16]];
+        // Zero runs of every length up to 79 bits followed by ones: codes
+        // whose payload ends in one bits, at every alignment.
+        for zeros in 1..=9 {
+            for shift in 0..8 {
+                out.push([vec![0; zeros], vec![0xFF >> shift], vec![0xFF; 8]].concat());
+            }
+        }
+        for i in 0..96 {
+            let len = (xorshift(&mut x) % 40) as usize;
+            let bytes = (0..len)
+                .map(|_| {
+                    let v = xorshift(&mut x);
+                    match i % 3 {
+                        0 => v as u8,
+                        1 if v.is_multiple_of(16) => (v >> 8) as u8,
+                        2 if v.is_multiple_of(64) => 1u8 << ((v >> 8) % 8),
+                        _ => 0,
+                    }
+                })
+                .collect();
+            out.push(bytes);
+        }
+        out
+    }
+
+    #[test]
+    fn word_reader_matches_bit_reader_at_every_offset() {
+        let (mut long_unary, mut long_gamma, mut long_zeta) = (0, 0, 0);
+        for bytes in differential_strings() {
+            // Every start offset, plus positions past the end where the
+            // peek is all padding.
+            for start in 0..bytes.len() as u64 * 8 + 72 {
+                let mut probe = RefBitReader {
+                    bytes: &bytes,
+                    pos: start,
+                };
+                let run = probe.read_unary();
+                let one_found = probe.pos == start + run + 1;
+                long_unary += (one_found && run > PEEK_BITS as u64) as u32;
+                long_gamma += (one_found && run > GAMMA_PEEK_ZEROS as u64) as u32;
+                long_zeta += (one_found && run > ZETA3_PEEK_H as u64) as u32;
+
+                // One read from `start` through each reader: same value,
+                // same end position.
+                let same =
+                    |what: &str,
+                     word: &dyn Fn(&mut BitReader) -> u64,
+                     reference: &dyn Fn(&mut RefBitReader) -> u64| {
+                        let mut w = BitReader::at(&bytes, start);
+                        let mut r = RefBitReader {
+                            bytes: &bytes,
+                            pos: start,
+                        };
+                        let got = (word(&mut w), w.bit_pos());
+                        let want = (reference(&mut r), r.pos);
+                        assert_eq!(got, want, "{what} at bit {start} of {bytes:02x?}");
+                    };
+                for n in 0..=64 {
+                    same(&format!("read_bits({n})"), &|w| w.read_bits(n), &|r| {
+                        r.read_bits(n)
+                    });
+                }
+                same("read_unary", &|w| w.read_unary(), &|r| r.read_unary());
+                same("read_gamma", &|w| read_gamma(w), &|r| r.read_gamma());
+                same("read_zeta3", &|w| read_zeta3(w), &|r| r.read_zeta(3));
+                // k = 1 (γ) and the stored k = 3; at other k a corrupt
+                // prefix can imply an interval wider than u64.
+                for k in [1, ZETA_K] {
+                    same(&format!("read_zeta({k})"), &|w| read_zeta(w, k), &|r| {
+                        r.read_zeta(k)
+                    });
+                }
+                for zeros in [1u64, 2, 7, 8, 9, 56, 57, 64, 65, 130, 400] {
+                    let skip_word = |w: &mut BitReader| {
+                        let mut ones = 0;
+                        w.skip_zeros(zeros, &mut ones);
+                        ones
+                    };
+                    let skip_ref = |r: &mut RefBitReader| {
+                        let mut ones = 0;
+                        r.skip_zeros(zeros, &mut ones);
+                        ones
+                    };
+                    same(&format!("skip_zeros({zeros})"), &skip_word, &skip_ref);
+                }
+            }
+        }
+        // The strings reach every cold path, with a one bit ending the run.
+        assert!(long_unary > 0, "no unary run longer than one peek");
+        assert!(long_gamma > 0, "no γ code longer than one peek");
+        assert!(long_zeta > 0, "no ζ_3 code longer than one peek");
     }
 }

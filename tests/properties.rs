@@ -7,6 +7,68 @@ use gstore::scr::{CacheHint, CachePool};
 use gstore::tile::compress::{compress_tile, decompress_tile};
 use proptest::prelude::*;
 
+/// Body of `codec_roundtrip_is_lossless` for one edge list.
+fn check_codec_roundtrip(edges: &[(u16, u16)]) {
+    use gstore::tile::Codec;
+    let mut raw = Vec::with_capacity(edges.len() * 4);
+    for (s, d) in edges {
+        raw.extend_from_slice(&s.to_le_bytes());
+        raw.extend_from_slice(&d.to_le_bytes());
+    }
+    let mut want: Vec<u32> = edges
+        .iter()
+        .map(|(s, d)| (*s as u32) << 16 | *d as u32)
+        .collect();
+    want.sort_unstable();
+    let key_of = |c: &[u8]| {
+        (u16::from_le_bytes([c[0], c[1]]) as u32) << 16 | u16::from_le_bytes([c[2], c[3]]) as u32
+    };
+    for codec in Codec::ALL {
+        let coded = codec.encode_tile(&raw).unwrap();
+        prop_assert_eq!(
+            codec.edge_count(&coded).unwrap(),
+            edges.len() as u64,
+            "{}",
+            codec.name()
+        );
+        // Block decode restores the multiset (sorted for coded
+        // streams, original order for raw).
+        let mut got: Vec<u32> = codec
+            .decode_tile(&coded)
+            .unwrap()
+            .chunks_exact(4)
+            .map(key_of)
+            .collect();
+        got.sort_unstable();
+        prop_assert_eq!(&got, &want, "{} decode_tile", codec.name());
+        // The streaming cursor agrees key for key.
+        let mut cur = codec.cursor(&coded).unwrap();
+        prop_assert_eq!(cur.remaining(), want.len() as u64);
+        let mut streamed = Vec::with_capacity(want.len());
+        while let Some(k) = cur.next_key() {
+            streamed.push(k);
+        }
+        let mut sorted = streamed.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(&sorted, &want, "{} cursor", codec.name());
+        // Blocks of every size yield next_key's keys, in its order.
+        for size in [1, 17, 128] {
+            let mut cur = codec.cursor(&coded).unwrap();
+            let mut block = vec![0u32; size];
+            let mut blocked = Vec::with_capacity(want.len());
+            loop {
+                let n = cur.next_block(&mut block);
+                if n == 0 {
+                    break;
+                }
+                blocked.extend_from_slice(&block[..n]);
+                prop_assert_eq!(cur.remaining(), (want.len() - blocked.len()) as u64);
+            }
+            prop_assert_eq!(&blocked, &streamed, "{} blocks of {}", codec.name(), size);
+        }
+    }
+}
+
 /// Strategy: a small arbitrary graph (vertex count, kind, edges).
 fn arb_graph() -> impl Strategy<Value = EdgeList> {
     (2u64..200, any::<bool>()).prop_flat_map(|(n, directed)| {
@@ -185,49 +247,23 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Every bit-level tile codec round-trips the edge multiset, and its
-    /// cursor streams exactly the sorted keys of the tile.
+    /// Every bit-level tile codec round-trips the edge multiset, its
+    /// cursor streams exactly the sorted keys of the tile, and block
+    /// decoding yields the same keys in the same order as key-at-a-time
+    /// decoding, at every block size. Two generators: random keys (wide
+    /// gaps), and long same-source runs with small destination gaps
+    /// (the dense runs the ζ code is built for).
     #[test]
     fn codec_roundtrip_is_lossless(
-        edges in proptest::collection::vec((any::<u16>(), any::<u16>()), 0..300)
+        edges in proptest::collection::vec((any::<u16>(), any::<u16>()), 0..300),
+        runs in proptest::collection::vec((any::<u16>(), 1u16..400, 0u16..6), 0..8),
     ) {
-        use gstore::tile::Codec;
-        let mut raw = Vec::with_capacity(edges.len() * 4);
-        for (s, d) in &edges {
-            raw.extend_from_slice(&s.to_le_bytes());
-            raw.extend_from_slice(&d.to_le_bytes());
-        }
-        let mut want: Vec<u32> =
-            edges.iter().map(|(s, d)| (*s as u32) << 16 | *d as u32).collect();
-        want.sort_unstable();
-        let key_of = |c: &[u8]| {
-            (u16::from_le_bytes([c[0], c[1]]) as u32) << 16
-                | u16::from_le_bytes([c[2], c[3]]) as u32
-        };
-        for codec in Codec::ALL {
-            let coded = codec.encode_tile(&raw).unwrap();
-            prop_assert_eq!(
-                codec.edge_count(&coded).unwrap(),
-                edges.len() as u64,
-                "{}",
-                codec.name()
-            );
-            // Block decode restores the multiset (sorted for coded
-            // streams, original order for raw).
-            let mut got: Vec<u32> =
-                codec.decode_tile(&coded).unwrap().chunks_exact(4).map(key_of).collect();
-            got.sort_unstable();
-            prop_assert_eq!(&got, &want, "{} decode_tile", codec.name());
-            // The streaming cursor agrees key for key.
-            let mut cur = codec.cursor(&coded).unwrap();
-            prop_assert_eq!(cur.remaining(), want.len() as u64);
-            let mut streamed = Vec::with_capacity(want.len());
-            while let Some(k) = cur.next_key() {
-                streamed.push(k);
-            }
-            streamed.sort_unstable();
-            prop_assert_eq!(&streamed, &want, "{} cursor", codec.name());
-        }
+        let dense: Vec<(u16, u16)> = runs
+            .iter()
+            .flat_map(|&(src, len, gap)| (0..len).map(move |i| (src, i * gap)))
+            .collect();
+        check_codec_roundtrip(&edges);
+        check_codec_roundtrip(&dense);
     }
 
     /// The cache pool never exceeds capacity, never loses a Needed tile to
