@@ -3,15 +3,16 @@
 //! emitter.
 //!
 //! Both arms sweep full PageRank iterations over every tile of the same
-//! store through `gstore_core::compute` — the `atomic` arm pins the
-//! fallback executor (`force_atomic`), the `sharded` arm takes the
-//! default column-sharded path. The edges decoded are identical; the
+//! store through `gstore_core::compute::process_batch_queries` as a
+//! one-query batch — the `atomic` arm pins the query to the fallback
+//! executor (`force_atomic`), the `sharded` arm takes PageRank's default
+//! column-sharded mode. The edges decoded are identical; the
 //! difference — wall time per edge — is the cost of `lock`-prefixed
 //! CAS loops the sharded schedule removes, tracked in
 //! `BENCH_compute.json` and `cargo bench -p bench --bench compute_path`.
 
 use crate::workloads::{degrees, Scale};
-use gstore_core::{compute, Algorithm, GStoreEngine, PageRank};
+use gstore_core::{compute, Algorithm, GStoreEngine, PageRank, UpdateMode};
 use gstore_graph::Result;
 use gstore_tile::{TileIndex, TileStore};
 use std::time::Instant;
@@ -63,12 +64,22 @@ pub fn run_compute_arm(
     force_atomic: bool,
 ) -> (ComputeArmMeasure, Vec<f64>) {
     let (index, batch) = full_batch(store);
+    let batch: Vec<(u64, &[u8], u64)> = batch.into_iter().map(|(t, b)| (t, b, 1)).collect();
     let mut pr = PageRank::new(*store.layout().tiling(), deg.to_vec(), 0.85);
+    let mut arena = compute::DecodeArena::new(false);
     let mut m = ComputeArmMeasure::default();
     let t0 = Instant::now();
     for i in 0..sweeps {
         pr.begin_iteration(i);
-        let out = compute::process_batch(&index, &pr, &batch, force_atomic);
+        let query = compute::QueryRef {
+            alg: &pr,
+            mode: if force_atomic {
+                UpdateMode::Atomic
+            } else {
+                pr.update_mode()
+            },
+        };
+        let out = compute::process_batch_queries(&index, &[query], &batch, &mut arena).aggregate();
         m.edges += out.edges;
         m.sharded_edges += out.sharded_edges;
         m.atomic_edges += out.atomic_edges;

@@ -15,7 +15,7 @@
 //! batching of group reads into one `io_submit`.
 
 use crate::algorithm::{Algorithm, IterationOutcome, RunStats, UpdateMode};
-use crate::compute::{self, QueryRef};
+use crate::compute::{self, DecodeArena, QueryRef};
 use crate::query::{BatchRunStats, QueryBatch, QueryOutcome};
 use gstore_graph::{GraphError, Result};
 use gstore_io::{
@@ -29,7 +29,7 @@ use gstore_scr::{plan, CacheHint, CacheOracle, CachePool, RowProgress, ScrConfig
 use gstore_tile::{TileIndex, TilePaths, TileStore};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Engine configuration.
@@ -378,6 +378,11 @@ pub struct GStoreEngine {
     /// The builder's fault-injection knob, kept so point readers (which
     /// own private I/O paths) inherit the same policy.
     io_fault: Option<IoFaultInjector>,
+    /// Scratch that coded tiles read more than once per batch are decoded
+    /// into, reused across batches and sweeps. Locked only by the sweep
+    /// thread's compute dispatch; a poisoned lock still holds valid
+    /// scratch.
+    decode_arena: Mutex<DecodeArena>,
 }
 
 /// Proactive-caching oracle (§VI.C): combines every *active* query's
@@ -475,6 +480,7 @@ impl GStoreEngine {
         }
         let mut pool = CachePool::new(pool_bytes);
         pool.set_recorder(rec_dyn);
+        let decode_arena = Mutex::new(DecodeArena::new(config.metrics));
         Ok(GStoreEngine {
             index,
             aio,
@@ -483,6 +489,7 @@ impl GStoreEngine {
             pool,
             recorder,
             io_fault,
+            decode_arena,
         })
     }
 
@@ -1206,7 +1213,13 @@ impl GStoreEngine {
         agg: &mut RunStats,
         per: &mut [RunStats],
     ) {
-        let out = compute::process_batch_queries(&self.index, queries, batch);
+        let out = {
+            let mut arena = self
+                .decode_arena
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            compute::process_batch_queries(&self.index, queries, batch, &mut arena)
+        };
         for (q, o) in out.per_query.iter().enumerate() {
             per[q].edges_processed += o.edges;
             per[q].sharded_edges += o.sharded_edges;
@@ -1218,6 +1231,9 @@ impl GStoreEngine {
         agg.atomic_edges += a.atomic_edges;
         if let Some(rec) = &self.recorder {
             rec.compute_batch(a.edges, a.plain_updates, a.atomic_edges, a.groups_scheduled);
+            if out.decode_ns > 0 {
+                rec.codec_decode_ns(out.decode_ns);
+            }
         }
     }
 }

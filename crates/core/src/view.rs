@@ -6,11 +6,16 @@
 //! materialised as tuple vectors on the hot path. Codec-compressed tiles
 //! ([`Codec`]) decode on the fly through the same block loop: a cursor
 //! refills fixed-size stack buffers of `(src << 16) | dst` keys straight
-//! from the bit stream, so compressed stores never allocate decompressed
-//! tile copies.
+//! from the bit stream. A tile that one compute batch reads more than once
+//! is instead decoded once, by [`TileView::decode_snb`], into the compute
+//! phase's bounded decode arena (see [`crate::compute`]), and every reader
+//! then gets a raw SNB view of those records.
 
 use gstore_graph::{Edge, VertexId};
 use gstore_tile::{Codec, EdgeEncoding, TileCoord, TileCursor, Tiling};
+
+/// Keys per decode block: the stack buffer the block loops fill.
+const DECODE_BLOCK: usize = 128;
 
 /// One tile presented to an algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -65,14 +70,47 @@ impl<'a> TileView<'a> {
         }
     }
 
-    /// Streaming cursor over the coded key stream (`None` for raw views or
-    /// corrupt streams).
+    /// Streaming cursor over the coded key stream: `None` for raw views,
+    /// and an empty cursor when the stream's header is corrupt, so a
+    /// coded tile is never read as raw records.
     #[inline]
     fn cursor(&self) -> Option<TileCursor<'a>> {
         match self.codec {
             Codec::RawSnb => None,
-            c => c.cursor(self.bytes).ok(),
+            c => Some(
+                c.cursor(self.bytes)
+                    .unwrap_or(TileCursor::Raw { bytes: &[], pos: 0 }),
+            ),
         }
+    }
+
+    /// Decodes a coded view into `out` as raw SNB records, one 4-byte
+    /// record per key in cursor order, and returns how many keys it wrote:
+    /// at most `out.len() / 4`, and fewer when the stream ends early (an
+    /// Elias-Fano stream missing its terminating bits). A raw SNB view
+    /// over the written prefix then yields exactly the keys this view's
+    /// [`TileView::for_each_edge`] yields. Raw views write nothing.
+    pub(crate) fn decode_snb(&self, out: &mut [u8]) -> usize {
+        let Some(mut cur) = self.cursor() else {
+            return 0;
+        };
+        let cap = out.len() / 4;
+        let mut keys = [0u32; DECODE_BLOCK];
+        let mut written = 0;
+        while written < cap {
+            let want = (cap - written).min(DECODE_BLOCK);
+            let n = cur.next_block(&mut keys[..want]);
+            // The key `(src << 16) | dst` rotated is `(dst << 16) | src`,
+            // whose little-endian bytes are the SNB record.
+            for (rec, k) in out[written * 4..].chunks_exact_mut(4).zip(&keys[..n]) {
+                rec.copy_from_slice(&k.rotate_left(16).to_le_bytes());
+            }
+            written += n;
+            if n < want {
+                break;
+            }
+        }
+        written
     }
 
     /// Iterates global edge tuples.
@@ -101,9 +139,8 @@ impl<'a> TileView<'a> {
     /// streaming iterator — they are cold-path formats.
     #[inline]
     pub fn for_each_edge(&self, mut f: impl FnMut(VertexId, VertexId)) {
-        const BLOCK: usize = 128;
         if let Some(mut cur) = self.cursor() {
-            let mut keys = [0u32; BLOCK];
+            let mut keys = [0u32; DECODE_BLOCK];
             loop {
                 let n = cur.next_block(&mut keys);
                 if n == 0 {
@@ -123,15 +160,15 @@ impl<'a> TileView<'a> {
             }
             return;
         }
-        let mut srcs = [0u64; BLOCK];
-        let mut dsts = [0u64; BLOCK];
-        let mut chunks = self.bytes.chunks_exact(4 * BLOCK);
+        let mut srcs = [0u64; DECODE_BLOCK];
+        let mut dsts = [0u64; DECODE_BLOCK];
+        let mut chunks = self.bytes.chunks_exact(4 * DECODE_BLOCK);
         for block in &mut chunks {
             for (i, e) in block.chunks_exact(4).enumerate() {
                 srcs[i] = self.src_base + u16::from_le_bytes([e[0], e[1]]) as u64;
                 dsts[i] = self.dst_base + u16::from_le_bytes([e[2], e[3]]) as u64;
             }
-            for i in 0..BLOCK {
+            for i in 0..DECODE_BLOCK {
                 f(srcs[i], dsts[i]);
             }
         }

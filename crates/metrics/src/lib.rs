@@ -12,7 +12,7 @@
 //! Design constraints (deliberate):
 //! * recording sites are per-request / per-tile / per-iteration, never
 //!   per-edge — aggregation over edges happens in the engine's
-//!   `process_batch` before any recorder call;
+//!   `process_batch_queries` before any recorder call;
 //! * every hot-path counter is a relaxed atomic; the only lock is around
 //!   the per-iteration vector, touched once per iteration;
 //! * when no recorder is installed the layers skip timestamping entirely,
@@ -408,9 +408,10 @@ pub trait Recorder: Send + Sync {
         let _ = (tiles, disk_bytes, logical_bytes);
     }
 
-    /// Wall time spent decoding coded tile streams, where it is separately
-    /// measurable (point reads, benches). Sweep decode time is fused into
-    /// compute and *not* reported here.
+    /// Wall time spent decoding coded tile streams, where decode is a
+    /// separate step: point reads, and sweep tiles that one compute batch
+    /// reads more than once and so decodes up front. Sweep tiles read once
+    /// decode inside compute, and that time is *not* reported here.
     #[inline]
     fn codec_decode_ns(&self, ns: u64) {
         let _ = ns;

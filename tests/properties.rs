@@ -632,6 +632,97 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
+    /// Decoding shared coded tiles once into the decode arena is a pure
+    /// performance change: over ζ, γ and Elias-Fano recodes of every store
+    /// shape, with tiny segments and jittered AIO completions, solo runs
+    /// and a shared PageRank + WCC + k-core + BFS batch give the raw
+    /// store's answers — BFS depths, WCC labels and k-core membership
+    /// bitwise, PageRank to FP tolerance.
+    #[test]
+    fn coded_and_raw_paths_agree(
+        seed in 0u64..100,
+        tile_bits in 2u32..6,
+        q in 1u32..5,
+        directed in any::<bool>(),
+        jitter in any::<bool>(),
+        codec_pick in 0usize..3,
+    ) {
+        use gstore::core::KCore;
+        use gstore::graph::gen::{generate_rmat, RmatParams};
+        use gstore::io::JitterBackend;
+        use gstore::tile::{encode_store, Codec};
+        use std::sync::Arc;
+
+        let codec = [Codec::ZetaGap, Codec::GammaGap, Codec::EliasFano][codec_pick];
+        let kind = if directed { GraphKind::Directed } else { GraphKind::Undirected };
+        let el = generate_rmat(&RmatParams::kron(7, 4).with_seed(seed).with_kind(kind)).unwrap();
+        let store = TileStore::build(
+            &el,
+            &ConversionOptions::new(tile_bits).with_group_side(q),
+        ).unwrap();
+        let tiling = *store.layout().tiling();
+        let make_engine = |codec: Codec| {
+            let (index, data) = encode_store(&store, codec).unwrap();
+            let seg = (data.len() as u64 / 6).max(64);
+            let b = GStoreEngine::builder().scr(ScrConfig::new(seg, seg * 3).unwrap());
+            let base = Arc::new(MemBackend::new(data));
+            if jitter {
+                let backend = Arc::new(JitterBackend::new(base, 300));
+                b.backend(index, backend).io_workers(4).build().unwrap()
+            } else {
+                b.backend(index, base).build().unwrap()
+            }
+        };
+        let deg = gstore::graph::CompactDegrees::from_edge_list(&el).unwrap().to_vec();
+
+        // Raw reference, then the same solo queries on the coded store.
+        let mut solos = Vec::new();
+        for c in [Codec::RawSnb, codec] {
+            let mut bfs = Bfs::new(tiling, 0);
+            make_engine(c).run(&mut bfs, 10_000).unwrap();
+            let mut wcc = Wcc::new(tiling);
+            make_engine(c).run(&mut wcc, 10_000).unwrap();
+            let mut kc = KCore::new(tiling, 2);
+            make_engine(c).run(&mut kc, 10_000).unwrap();
+            let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
+            make_engine(c).run(&mut pr, 10_000).unwrap();
+            solos.push((bfs.depths(), wcc.labels(), kc.membership(), pr.ranks().to_vec()));
+        }
+        let (raw, coded) = (&solos[0], &solos[1]);
+        prop_assert_eq!(&coded.0, &raw.0);
+        prop_assert_eq!(&coded.1, &raw.1);
+        prop_assert_eq!(&coded.2, &raw.2);
+        for (c, r) in coded.3.iter().zip(&raw.3) {
+            prop_assert!((c - r).abs() < 1e-9, "{} rank {} vs {}", codec.name(), c, r);
+        }
+
+        // One shared scan of all four over the coded store.
+        let mut pr = PageRank::new(tiling, deg, 0.85).with_iterations(4);
+        let mut wcc = Wcc::new(tiling);
+        let mut kc = KCore::new(tiling, 2);
+        let mut bfs = Bfs::new(tiling, 0);
+        let mut batch = QueryBatch::new();
+        batch.push(&mut pr).unwrap();
+        batch.push(&mut wcc).unwrap();
+        batch.push(&mut kc).unwrap();
+        batch.push(&mut bfs).unwrap();
+        let mut engine = make_engine(codec);
+        let out = engine.run_batch(&mut batch, 10_000).unwrap();
+        prop_assert!(out.all_converged());
+        prop_assert_eq!(bfs.depths(), raw.0.clone());
+        prop_assert_eq!(wcc.labels(), raw.1.clone());
+        prop_assert_eq!(kc.membership(), raw.2.clone());
+        for (c, r) in pr.ranks().iter().zip(&raw.3) {
+            prop_assert!((c - r).abs() < 1e-9, "{} batch rank {} vs {}", codec.name(), c, r);
+        }
+        prop_assert_eq!(engine.aio_in_flight(), 0);
+        prop_assert_eq!(engine.buffer_pool_stats().outstanding, 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
     /// A shared-scan K-query batch is observably identical to K sequential
     /// runs: for every store shape, orientation, and (jittered) AIO
     /// completion order, each query's result and iteration count come out
